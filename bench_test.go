@@ -328,9 +328,6 @@ func BenchmarkCompileBeamHubbardParallel4(b *testing.B) { benchCompileParallel(b
 func BenchmarkCompileAnnealHubbardParallel1(b *testing.B) { benchCompileParallel(b, "anneal", 1) }
 func BenchmarkCompileAnnealHubbardParallel4(b *testing.B) { benchCompileParallel(b, "anneal", 4) }
 
-func BenchmarkCompileHATTHubbardParallel1(b *testing.B) { benchCompileParallel(b, "hatt", 1) }
-func BenchmarkCompileHATTHubbardParallel4(b *testing.B) { benchCompileParallel(b, "hatt", 4) }
-
 func BenchmarkCompileBatch8xH2(b *testing.B) {
 	// Eight tenants requesting the same model: the batch fans out across
 	// items and the build memo collapses the duplicate searches.

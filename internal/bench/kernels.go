@@ -92,8 +92,8 @@ func randomKernelPauli(r *rand.Rand, n int) pauli.String {
 // KernelSuite measures the four algebra/simulation kernels this
 // repository's hot paths are built from — ApplyPauli, Hamiltonian
 // expectation, string product, Hamiltonian.Add — plus the BuildUnopt
-// construction on the largest bundled molecule, each as a
-// baseline-vs-fast pair.
+// construction on the largest bundled molecule and the hatt search on a
+// 72-mode lattice, each as a baseline-vs-fast pair.
 func KernelSuite() []KernelRecord {
 	var out []KernelRecord
 	r := rand.New(rand.NewSource(1))
@@ -177,6 +177,17 @@ func KernelSuite() []KernelRecord {
 	out = kernelPair(out, "build_unopt_molecule14", 3,
 		func() { core.BuildUnoptReference(mh) },
 		func() { core.BuildUnopt(mh) })
+
+	// The hatt search on hubbard:6x6 (72 modes): the O(N⁴) Algorithm 2
+	// without caches versus the production incremental argmin, memo off.
+	hub, err := models.Resolve("hubbard:6x6")
+	if err != nil {
+		panic("bench: " + err.Error())
+	}
+	hmh := hub.Majorana(1e-12)
+	out = kernelPair(out, "build_hatt_hubbard6x6", 10,
+		func() { core.BuildUncached(hmh) },
+		func() { core.BuildWithOptions(hmh, core.BuildOptions{NoMemo: true}) })
 
 	return out
 }

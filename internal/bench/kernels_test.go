@@ -43,8 +43,9 @@ func allocGatedKernels(t *testing.T) []string {
 
 // TestKernelSuiteBeforeAfter pins the PR's acceptance bar: every kernel is
 // measured as a baseline/fast pair, the annotation-gated kernels drop to at
-// least 5× fewer allocations per op, and the pruned BuildUnopt beats the
-// exhaustive scan on the largest bundled molecule.
+// least 5× fewer allocations per op, the pruned BuildUnopt beats the
+// exhaustive scan on the largest bundled molecule, and the incremental
+// hatt search beats the uncached O(N⁴) build on hubbard:6x6.
 func TestKernelSuiteBeforeAfter(t *testing.T) {
 	if annotations.RaceEnabled {
 		t.Skip("allocation counts and kernel timing ratios are unreliable under -race")
@@ -84,6 +85,11 @@ func TestKernelSuiteBeforeAfter(t *testing.T) {
 	if unopt["fast"].NsPerOp >= unopt["baseline"].NsPerOp {
 		t.Fatalf("build_unopt: prune is not a wall-time win (%.0f ns/op vs %.0f ns/op)",
 			unopt["fast"].NsPerOp, unopt["baseline"].NsPerOp)
+	}
+	hatt := byKernel["build_hatt_hubbard6x6"]
+	if hatt["fast"].NsPerOp >= hatt["baseline"].NsPerOp {
+		t.Fatalf("build_hatt: incremental search is not a wall-time win (%.0f ns/op vs %.0f ns/op)",
+			hatt["fast"].NsPerOp, hatt["baseline"].NsPerOp)
 	}
 
 	var tab strings.Builder

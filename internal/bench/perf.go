@@ -32,7 +32,9 @@ type PerfRecord struct {
 // PerfReport is the full sequential-vs-parallel sweep plus the hot-path
 // kernel microbenchmarks and the host facts needed to interpret them.
 type PerfReport struct {
+	NumCPU     int            `json:"nproc"`
 	GOMAXPROCS int            `json:"gomaxprocs"`
+	GoVersion  string         `json:"go"`
 	Workers    int            `json:"workers"`
 	Records    []PerfRecord   `json:"records"`
 	Kernels    []KernelRecord `json:"kernels,omitempty"`
@@ -41,9 +43,10 @@ type PerfReport struct {
 // perfModels is the model sweep; entries above opt.MaxModes are skipped.
 var perfModels = []string{"h2", "hubbard:2x2", "hubbard:2x3"}
 
-// perfSpecs is the method sweep: the three search methods the parallel
-// engine accelerates (candidate scoring for hatt and beam, restart
-// chains for anneal).
+// perfSpecs is the method sweep: the three search methods. The parallel
+// engine accelerates beam (candidate scoring) and anneal (restart
+// chains); hatt runs sequentially at every parallelism, so its two
+// columns time the same search.
 var perfSpecs = []string{"hatt", "beam:6", "anneal"}
 
 // PerfSuite measures every (method, model) cell at WithParallelism(1)
@@ -55,7 +58,12 @@ func PerfSuite(opt Options, workers int) PerfReport {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	rep := PerfReport{GOMAXPROCS: runtime.GOMAXPROCS(0), Workers: workers}
+	rep := PerfReport{
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		Workers:    workers,
+	}
 	ctx := context.Background()
 	for _, model := range perfModels {
 		h, err := models.Resolve(model)
@@ -127,8 +135,8 @@ func WritePerfJSON(w io.Writer, rep PerfReport) error {
 
 // PrintPerf renders the sweep as a human-readable table.
 func PrintPerf(w io.Writer, rep PerfReport) {
-	fmt.Fprintf(w, "== Parallel compilation: sequential vs %d workers (GOMAXPROCS %d) ==\n",
-		rep.Workers, rep.GOMAXPROCS)
+	fmt.Fprintf(w, "== Parallel compilation: sequential vs %d workers (nproc %d, GOMAXPROCS %d, %s) ==\n",
+		rep.Workers, rep.NumCPU, rep.GOMAXPROCS, rep.GoVersion)
 	fmt.Fprintf(w, "%-14s %5s %-8s %8s %12s %12s %8s %10s\n",
 		"Model", "Modes", "Method", "Weight", "seq", "par", "speedup", "identical")
 	for _, r := range rep.Records {

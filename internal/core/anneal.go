@@ -25,8 +25,7 @@ type AnnealOptions struct {
 	Restarts int
 	// Workers bounds how many chains run concurrently; values below 2
 	// run the chains sequentially, matching the zero-value semantics of
-	// BuildOptions.Workers and BeamOptions.Workers. It has no effect on
-	// the result.
+	// BeamOptions.Workers. It has no effect on the result.
 	Workers int
 	// Progress, when non-nil, is invoked periodically (roughly every 1% of
 	// the schedule) with the current iteration, the total iteration count,

@@ -163,10 +163,10 @@ func BuildBeamOpts(ctx context.Context, mh *fermion.MajoranaHamiltonian, opt Bea
 	// accumulated weight, which need not contain greedy's trajectory), so
 	// keep the greedy result as an incumbent: BuildBeam never returns a
 	// worse mapping than Build. The incumbent shares this search's
-	// context, worker pool, and portfolio bound.
+	// context and portfolio bound.
 	if width > 1 {
 		greedy, err := BuildWithOptionsCtx(ctx, mh, BuildOptions{
-			Workers: opt.Workers, Bound: opt.Bound, BoundPos: opt.BoundPos,
+			Bound: opt.Bound, BoundPos: opt.BoundPos,
 		})
 		switch {
 		case errors.Is(err, ErrBounded):

@@ -190,6 +190,14 @@ func BuildUnoptReference(mh *fermion.MajoranaHamiltonian) *Result {
 // the triple generated directly from the even-descendant partner, so this
 // implementation enumerates only nodes with even Z-descendants (≠ 2N) as
 // O_X, visiting the same candidate set once.
+//
+// Each step merges the first minimal candidate in that enumeration order.
+// Build finds it with an incremental argmin instead of rescoring every
+// candidate (see hattScan): each O_X keeps its best O_Z across steps, and
+// after a merge only the pairs whose O_Y changed or whose cached O_Z was
+// merged away are rescanned; every other pair scores only the triple with
+// the new parent. The search runs on the calling goroutine.
+//
 // Build memoizes completed constructions (see memo.go): repeated calls
 // on an identical Hamiltonian replay the cached merge schedule instead of
 // re-running the greedy search, returning a fresh tree and mapping each

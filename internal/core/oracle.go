@@ -35,10 +35,10 @@ func (b termBits) xorInto(dst termBits, other termBits) {
 	}
 }
 
-// scoreFanoutCutoff is the candidate count below which the search
-// methods keep scoring sequential: dispatching a pool over a few dozen
-// settledWeight calls costs more than the calls themselves. Above it,
-// the per-chunk work dwarfs the dispatch.
+// scoreFanoutCutoff is the candidate count below which beam search keeps
+// scoring sequential: dispatching a pool over a few dozen settledWeight
+// calls costs more than the calls themselves. Above it, the per-chunk
+// work dwarfs the dispatch.
 const scoreFanoutCutoff = 256
 
 // settledWeight computes the Pauli weight contributed on one qubit when

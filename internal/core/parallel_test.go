@@ -20,24 +20,6 @@ func mappingBytes(t *testing.T, r *Result) []byte {
 	return buf.Bytes()
 }
 
-func TestBuildWithOptionsMatchesBuildAtAnyWorkerCount(t *testing.T) {
-	ResetBuildCache()
-	for seed := int64(1); seed <= 3; seed++ {
-		mh := randomFermionic(5, 15, seed)
-		want := BuildWithOptions(mh, BuildOptions{NoMemo: true})
-		for _, workers := range []int{1, 2, 8} {
-			got := BuildWithOptions(mh, BuildOptions{Workers: workers, NoMemo: true})
-			if got.PredictedWeight != want.PredictedWeight {
-				t.Fatalf("seed %d workers %d: weight %d, want %d",
-					seed, workers, got.PredictedWeight, want.PredictedWeight)
-			}
-			if !bytes.Equal(mappingBytes(t, got), mappingBytes(t, want)) {
-				t.Fatalf("seed %d workers %d: mapping differs from sequential", seed, workers)
-			}
-		}
-	}
-}
-
 func TestBuildBeamDeterministicAcrossWorkerCounts(t *testing.T) {
 	ResetBuildCache()
 	ctx := context.Background()

@@ -102,29 +102,21 @@ func (m *Mapping) ApplyFermionic(h *fermion.Hamiltonian) *pauli.Hamiltonian {
 // VacuumPreserved reports whether the mapping sends the fermionic vacuum to
 // |0…0⟩: for every mode j, a_j |0…0⟩ = 0, i.e. (S_{2j} + i·S_{2j+1})
 // annihilates the all-zero state. Both strings must flip the same set of
-// qubits and their amplitudes on |0…0⟩ must cancel.
+// qubits and their amplitudes on |0…0⟩ must cancel. In the symplectic form
+// s = i^Phase·X^x·Z^z the Z factor fixes |0…0⟩, so s|0…0⟩ = i^Phase·|x⟩
+// (each Y letter's i from Y|0⟩ = i|1⟩ is already folded into Phase): the
+// flip sets are the X masks, compared word by word at any qubit count.
 func (m *Mapping) VacuumPreserved() bool {
 	for j := 0; j < m.Modes; j++ {
-		a1, f1 := actionOnZero(m.Majoranas[2*j])
-		a2, f2 := actionOnZero(m.Majoranas[2*j+1])
-		if f1 != f2 {
+		s1, s2 := m.Majoranas[2*j], m.Majoranas[2*j+1]
+		if !s1.XEqual(s2) {
 			return false
 		}
-		if s := a1 + complex(0, 1)*a2; real(s)*real(s)+imag(s)*imag(s) > 1e-20 {
+		if s := s1.PhaseCoeff() + complex(0, 1)*s2.PhaseCoeff(); real(s)*real(s)+imag(s)*imag(s) > 1e-20 {
 			return false
 		}
 	}
 	return true
-}
-
-// actionOnZero returns the amplitude and flip mask of s|0…0⟩ = amp·|mask⟩.
-// Requires N ≤ 64 qubits for the mask; amplitudes are exact. In the
-// symplectic form s = i^Phase·X^x·Z^z the Z factor fixes |0…0⟩, so the
-// amplitude is exactly i^Phase and the mask is the X bitset (each Y
-// letter's i from Y|0⟩ = i|1⟩ is already folded into Phase).
-func actionOnZero(s pauli.String) (complex128, uint64) {
-	x, _ := s.Masks64()
-	return s.PhaseCoeff(), x
 }
 
 // HamiltonianWeight is the paper's primary metric: the total Pauli weight

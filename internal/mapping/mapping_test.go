@@ -214,6 +214,28 @@ func TestVacuumViolationDetected(t *testing.T) {
 	}
 }
 
+func TestVacuumPreservedAbove64Modes(t *testing.T) {
+	// The flip sets span several mask words here; a mismatch confined to
+	// a high word must still be caught.
+	for _, n := range []int{65, 72, 128} {
+		for _, m := range allMappings(n) {
+			if !m.VacuumPreserved() {
+				t.Errorf("%s(%d) not vacuum preserving", m.Name, n)
+			}
+		}
+		m := JordanWigner(n)
+		m.Majoranas[2*(n-1)], m.Majoranas[2*(n-1)+1] = m.Majoranas[2*(n-1)+1], m.Majoranas[2*(n-1)]
+		if m.VacuumPreserved() {
+			t.Errorf("n=%d: swapped pair %d should break vacuum preservation", n, n-1)
+		}
+		m = JordanWigner(n)
+		m.Majoranas[2*(n-2)], m.Majoranas[2*(n-1)] = m.Majoranas[2*(n-1)], m.Majoranas[2*(n-2)]
+		if m.VacuumPreserved() {
+			t.Errorf("n=%d: pairs with different flip sets should break vacuum preservation", n)
+		}
+	}
+}
+
 func TestHamiltonianWeightMetric(t *testing.T) {
 	h := fermion.Number(2, 0)
 	mh := h.Majorana(1e-14)

@@ -251,6 +251,22 @@ func (s String) EqualUpToPhase(t String) bool {
 	return true
 }
 
+// XEqual reports whether s and t act on the same number of qubits and
+// flip the same ones: their X bit masks (set where the letter is X or Y)
+// match word by word. Two strings with equal X masks send every basis
+// state to the same basis state, up to amplitude.
+func (s String) XEqual(t String) bool {
+	if s.n != t.n {
+		return false
+	}
+	for i := range s.x {
+		if s.x[i] != t.x[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Equal reports whether s and t are identical operators including phase.
 func (s String) Equal(t String) bool {
 	return s.EqualUpToPhase(t) && s.phase == t.phase

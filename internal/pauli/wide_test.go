@@ -31,6 +31,23 @@ func TestWideStringsBasics(t *testing.T) {
 	}
 }
 
+func TestXEqualComparesEveryWord(t *testing.T) {
+	a, b := Identity(130), Identity(130)
+	a.SetLetter(3, X)
+	b.SetLetter(3, Y) // same flip, different Z bit
+	a.SetLetter(100, Z)
+	if !a.XEqual(b) {
+		t.Fatal("X and Y on one qubit, Z elsewhere: X masks should match")
+	}
+	b.SetLetter(129, X) // differs only in the third word
+	if a.XEqual(b) {
+		t.Fatal("XEqual missed a flip in the last mask word")
+	}
+	if Identity(64).XEqual(Identity(65)) {
+		t.Fatal("XEqual matched strings on different qubit counts")
+	}
+}
+
 func TestWideMulCrossesWordBoundary(t *testing.T) {
 	n := 130
 	a := Identity(n)

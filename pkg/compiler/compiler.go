@@ -54,9 +54,10 @@ type Options struct {
 	TieBreak     TieBreak          // equal-weight candidate policy (hatt)
 	Seed         int64             // RNG seed, 0 = 1 (anneal)
 	// Parallelism bounds the worker pool each method fans its search out
-	// over (hatt candidate scoring, beam candidate scoring, anneal
-	// restart chains) and the batch width of CompileBatch/PipelineBatch.
-	// It never changes a method's result: a fixed Seed produces a
+	// over (beam candidate scoring, anneal restart chains) and the batch
+	// width of CompileBatch/PipelineBatch. It does not affect hatt, whose
+	// incremental argmin runs sequentially on the calling goroutine. It
+	// never changes a method's result: a fixed Seed produces a
 	// byte-identical mapping at every Parallelism value.
 	Parallelism int
 	// AnnealRestarts runs that many independent annealing chains (seeded
@@ -141,10 +142,10 @@ func WithTieBreak(tb TieBreak) Option { return func(o *Options) { o.TieBreak = t
 // WithSeed seeds the stochastic methods (methods: anneal).
 func WithSeed(seed int64) Option { return func(o *Options) { o.Seed = seed } }
 
-// WithParallelism bounds the worker pool the search methods and the
-// batch APIs fan out over; n < 1 restores the default
-// (runtime.GOMAXPROCS). Parallelism trades wall time only — for a fixed
-// seed the compiled mapping is byte-identical at every value.
+// WithParallelism bounds the worker pool the beam and anneal searches
+// and the batch APIs fan out over (hatt ignores it); n < 1 restores the
+// default (runtime.GOMAXPROCS). Parallelism trades wall time only — for
+// a fixed seed the compiled mapping is byte-identical at every value.
 func WithParallelism(n int) Option {
 	return func(o *Options) {
 		if n < 1 {

@@ -71,7 +71,6 @@ func init() {
 	MustRegister(method{name: "hatt", run: func(ctx context.Context, mh *fermion.MajoranaHamiltonian, opts Options) (*Result, error) {
 		r, err := core.BuildWithOptionsCtx(ctx, mh, core.BuildOptions{
 			TieBreak: opts.TieBreak,
-			Workers:  opts.Parallelism,
 			Bound:    opts.bound,
 			BoundPos: opts.boundPos,
 		})

@@ -20,7 +20,7 @@ var methodDescriptions = map[string]MethodInfo{
 	"bk":         {Description: "Bravyi–Kitaev (constructive baseline)"},
 	"parity":     {Description: "parity encoding (constructive baseline)"},
 	"btt":        {Description: "balanced ternary tree (constructive baseline)"},
-	"hatt":       {Description: "optimized HATT construction (Algorithms 2+3, O(N³))"},
+	"hatt":       {Description: "optimized HATT construction (Algorithms 2+3, O(N³)); incremental argmin on one goroutine, Parallelism does not affect it"},
 	"hatt-unopt": {Description: "plain bottom-up HATT construction (Algorithm 1, O(N⁴))"},
 	"beam":       {Param: "beam:<width>", Description: "vacuum-preserving beam search over HATT space"},
 	"fh":         {Param: "fh:<budget>", Description: "exhaustive branch-and-bound (Fermihedral substitute)"},

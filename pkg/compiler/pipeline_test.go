@@ -45,6 +45,22 @@ func TestPipelineDefaultsToHATT(t *testing.T) {
 	}
 }
 
+func TestPipelineVacuumAbove64Modes(t *testing.T) {
+	// hubbard:6x6 and hubbard:8x8 need 72 and 128 qubits: the vacuum
+	// check must compare flip sets across mask words, not panic.
+	for _, model := range []string{"hubbard:6x6", "hubbard:8x8"} {
+		for _, method := range []string{"jw", "hatt"} {
+			rep, err := Pipeline{Model: model, Method: method}.Run(context.Background())
+			if err != nil {
+				t.Fatalf("%s/%s: %v", model, method, err)
+			}
+			if !rep.VacuumPreserved {
+				t.Errorf("%s/%s: VacuumPreserved = false", model, method)
+			}
+		}
+	}
+}
+
 func TestPipelineErrors(t *testing.T) {
 	ctx := context.Background()
 	if _, err := (Pipeline{Method: "hatt"}).Run(ctx); err == nil {
