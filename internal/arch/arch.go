@@ -129,38 +129,7 @@ func (d *Device) Neighbors(p int) []int {
 // ShortestPath returns a BFS shortest path between physical qubits, both
 // endpoints included. Returns nil if disconnected.
 func (d *Device) ShortestPath(a, b int) []int {
-	if a == b {
-		return []int{a}
-	}
-	prev := make([]int, d.N)
-	for i := range prev {
-		prev[i] = -1
-	}
-	prev[a] = a
-	queue := []int{a}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range d.Neighbors(cur) {
-			if prev[nb] != -1 {
-				continue
-			}
-			prev[nb] = cur
-			if nb == b {
-				var path []int
-				for v := b; v != a; v = prev[v] {
-					path = append(path, v)
-				}
-				path = append(path, a)
-				for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-					path[i], path[j] = path[j], path[i]
-				}
-				return path
-			}
-			queue = append(queue, nb)
-		}
-	}
-	return nil
+	return newRouter(d).appendPath(nil, a, b)
 }
 
 // Connected reports whether the coupling graph is connected.

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -122,6 +123,27 @@ func TestRouteTooLarge(t *testing.T) {
 	}
 }
 
+// splitDeviceJSON is a custom device ParseDeviceJSON accepts whose
+// coupling graph has two components: a 4-qubit star and an 8-qubit line.
+const splitDeviceJSON = `{"name":"split","qubits":12,"edges":[[0,1],[0,2],[0,3],[4,5],[5,6],[6,7],[7,8],[8,9],[9,10],[10,11]]}`
+
+func TestRouteDisconnectedPlacementErrors(t *testing.T) {
+	d, err := ParseDeviceJSON([]byte(splitDeviceJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Eight interacting qubits seeded on the star (the highest degree)
+	// overflow its component of four.
+	c := circuit.New(8)
+	for q := 0; q+1 < 8; q++ {
+		c.Append(circuit.CNOT(q, q+1))
+	}
+	_, err = Route(c, d)
+	if err == nil || !strings.Contains(err.Error(), "no free physical qubit") {
+		t.Fatalf("Route on a disconnected device: err = %v, want a placement error", err)
+	}
+}
+
 func TestRouteRealWorkload(t *testing.T) {
 	// Route a small Trotter circuit onto Montreal and check metrics are
 	// sane: routing can only add CNOTs, never remove logical ones.
@@ -152,7 +174,10 @@ func TestInitialLayoutCoLocatesPartners(t *testing.T) {
 		c.Append(circuit.CNOT(0, 1))
 	}
 	c.Append(circuit.CNOT(2, 3))
-	layout := initialLayout(c, d)
+	layout, err := newRouter(d).initialLayout(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The hot pair (0,1) should be physically adjacent.
 	if !d.Coupled(layout[0], layout[1]) {
 		t.Errorf("hot pair placed apart: %d, %d", layout[0], layout[1])
@@ -169,10 +194,14 @@ func TestInitialLayoutCoLocatesPartners(t *testing.T) {
 func TestNearestFree(t *testing.T) {
 	d := testDevice(t, "line", 4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
 	used := []bool{true, true, false, false}
-	if p := nearestFree(d, 0, used); p != 2 {
+	r := newRouter(d)
+	if p := r.nearestFree(0, used); p != 2 {
 		t.Errorf("nearestFree = %d, want 2", p)
 	}
-	if p := nearestFree(d, 2, used); p != 2 {
+	if p := r.nearestFree(2, used); p != 2 {
 		t.Errorf("nearestFree from free = %d, want 2", p)
+	}
+	if p := r.nearestFree(0, []bool{true, true, true, true}); p != -1 {
+		t.Errorf("nearestFree on a full device = %d, want -1", p)
 	}
 }

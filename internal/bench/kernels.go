@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/cmplx"
@@ -8,11 +9,14 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/arch"
+	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/mapping"
 	"repro/internal/models"
 	"repro/internal/pauli"
 	"repro/internal/sim"
+	"repro/pkg/compiler"
 )
 
 // KernelRecord is one hot-path microbenchmark measurement. Every kernel is
@@ -92,8 +96,9 @@ func randomKernelPauli(r *rand.Rand, n int) pauli.String {
 // KernelSuite measures the four algebra/simulation kernels this
 // repository's hot paths are built from — ApplyPauli, Hamiltonian
 // expectation, string product, Hamiltonian.Add — plus the BuildUnopt
-// construction on the largest bundled molecule and the hatt search on a
-// 72-mode lattice, each as a baseline-vs-fast pair.
+// construction on the largest bundled molecule, the hatt search on a
+// 72-mode lattice, the Majorana expansion of the largest molecule and
+// routing a molecule onto Montreal, each as a baseline-vs-fast pair.
 func KernelSuite() []KernelRecord {
 	var out []KernelRecord
 	r := rand.New(rand.NewSource(1))
@@ -189,6 +194,38 @@ func KernelSuite() []KernelRecord {
 		func() { core.BuildUncached(hmh) },
 		func() { core.BuildWithOptions(hmh, core.BuildOptions{NoMemo: true}) })
 
+	// The Majorana expansion of the largest bundled molecule: fmt-built
+	// decimal keys on fresh slices versus compact keys in reused buffers.
+	out = kernelPair(out, "majorana_molecule14", 2,
+		func() { legacyMajorana(mol, 1e-12) },
+		func() { mol.Majorana(1e-12) })
+
+	// Routing molecule:12's hatt Trotter circuit onto Montreal: a fresh
+	// neighbour-sorting BFS per non-adjacent CNOT versus per-call BFS
+	// tables.
+	mol12, err := models.Resolve("molecule:12")
+	if err != nil {
+		panic("bench: " + err.Error())
+	}
+	mh12 := mol12.Majorana(1e-12)
+	res, err := compiler.Compile(context.Background(), "hatt", mh12)
+	if err != nil {
+		panic("bench: " + err.Error())
+	}
+	logical := circuit.Compile(res.Mapping.Apply(mh12), circuit.OrderLexicographic)
+	montreal := arch.Montreal()
+	out = kernelPair(out, "route_montreal_molecule12", 2,
+		func() {
+			if _, err := legacyRoute(logical, montreal); err != nil {
+				panic("bench: " + err.Error())
+			}
+		},
+		func() {
+			if _, err := arch.Route(logical, montreal); err != nil {
+				panic("bench: " + err.Error())
+			}
+		})
+
 	return out
 }
 
@@ -198,9 +235,9 @@ func PrintKernels(w io.Writer, ks []KernelRecord) {
 		return
 	}
 	fmt.Fprintln(w, "== Hot-path kernels: baseline vs fast ==")
-	fmt.Fprintf(w, "%-24s %-9s %14s %12s %12s\n", "Kernel", "Impl", "ns/op", "allocs/op", "B/op")
+	fmt.Fprintf(w, "%-26s %-9s %14s %12s %12s\n", "Kernel", "Impl", "ns/op", "allocs/op", "B/op")
 	for _, k := range ks {
-		fmt.Fprintf(w, "%-24s %-9s %14.0f %12.1f %12.0f\n",
+		fmt.Fprintf(w, "%-26s %-9s %14.0f %12.1f %12.0f\n",
 			k.Kernel, k.Impl, k.NsPerOp, k.AllocsPerOp, k.BytesPerOp)
 	}
 	fmt.Fprintln(w)

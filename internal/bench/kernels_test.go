@@ -44,8 +44,10 @@ func allocGatedKernels(t *testing.T) []string {
 // TestKernelSuiteBeforeAfter pins the PR's acceptance bar: every kernel is
 // measured as a baseline/fast pair, the annotation-gated kernels drop to at
 // least 5× fewer allocations per op, the pruned BuildUnopt beats the
-// exhaustive scan on the largest bundled molecule, and the incremental
-// hatt search beats the uncached O(N⁴) build on hubbard:6x6.
+// exhaustive scan on the largest bundled molecule, the incremental
+// hatt search beats the uncached O(N⁴) build on hubbard:6x6, and the
+// compact-key Majorana expansion and table-driven router beat their
+// predecessors in both time and allocations.
 func TestKernelSuiteBeforeAfter(t *testing.T) {
 	if annotations.RaceEnabled {
 		t.Skip("allocation counts and kernel timing ratios are unreliable under -race")
@@ -90,6 +92,14 @@ func TestKernelSuiteBeforeAfter(t *testing.T) {
 	if hatt["fast"].NsPerOp >= hatt["baseline"].NsPerOp {
 		t.Fatalf("build_hatt: incremental search is not a wall-time win (%.0f ns/op vs %.0f ns/op)",
 			hatt["fast"].NsPerOp, hatt["baseline"].NsPerOp)
+	}
+
+	for _, name := range []string{"majorana_molecule14", "route_montreal_molecule12"} {
+		pair := byKernel[name]
+		if pair["fast"].NsPerOp >= pair["baseline"].NsPerOp || pair["fast"].AllocsPerOp >= pair["baseline"].AllocsPerOp {
+			t.Fatalf("%s: fast path is not a win (%.0f ns/op, %.0f allocs/op vs %.0f ns/op, %.0f allocs/op)",
+				name, pair["fast"].NsPerOp, pair["fast"].AllocsPerOp, pair["baseline"].NsPerOp, pair["baseline"].AllocsPerOp)
+		}
 	}
 
 	var tab strings.Builder

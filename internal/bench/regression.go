@@ -168,7 +168,7 @@ func ReadPerfJSON(r io.Reader) (PerfReport, error) {
 
 // PrintKernelDeltas renders the regression gate's readable delta table.
 func PrintKernelDeltas(w io.Writer, deltas []KernelDelta) {
-	fmt.Fprintf(w, "%-22s %14s %14s %9s %12s %12s  %s\n",
+	fmt.Fprintf(w, "%-26s %14s %14s %9s %12s %12s  %s\n",
 		"Kernel", "ratio(base)", "ratio(fresh)", "Δratio", "allocs(base)", "allocs(fresh)", "verdict")
 	for _, d := range deltas {
 		verdict := "ok"
@@ -179,7 +179,7 @@ func PrintKernelDeltas(w io.Writer, deltas []KernelDelta) {
 		if d.BaselineRatio > 0 {
 			change = (d.FreshRatio - d.BaselineRatio) / d.BaselineRatio * 100
 		}
-		fmt.Fprintf(w, "%-22s %14.4f %14.4f %+8.1f%% %12.2f %12.2f  %s\n",
+		fmt.Fprintf(w, "%-26s %14.4f %14.4f %+8.1f%% %12.2f %12.2f  %s\n",
 			d.Kernel, d.BaselineRatio, d.FreshRatio, change,
 			d.BaselineAllocs, d.FreshAllocs, verdict)
 	}

@@ -103,8 +103,8 @@ func (c *Circuit) Append(gs ...Gate) {
 // CNOTCount returns the number of CNOT gates.
 func (c *Circuit) CNOTCount() int {
 	n := 0
-	for _, g := range c.Gates {
-		if g.Kind == KindCNOT {
+	for i := range c.Gates {
+		if c.Gates[i].Kind == KindCNOT {
 			n++
 		}
 	}
@@ -114,8 +114,8 @@ func (c *Circuit) CNOTCount() int {
 // SingleCount returns the number of single-qubit (U3) gates.
 func (c *Circuit) SingleCount() int {
 	n := 0
-	for _, g := range c.Gates {
-		if g.Kind == KindSingle {
+	for i := range c.Gates {
+		if c.Gates[i].Kind == KindSingle {
 			n++
 		}
 	}
@@ -127,7 +127,8 @@ func (c *Circuit) SingleCount() int {
 func (c *Circuit) Depth() int {
 	level := make([]int, c.N)
 	depth := 0
-	for _, g := range c.Gates {
+	for i := range c.Gates {
+		g := &c.Gates[i]
 		l := level[g.Q]
 		if g.Kind == KindCNOT && level[g.Q2] > l {
 			l = level[g.Q2]

@@ -4,8 +4,11 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"repro/internal/mapping"
+	"repro/internal/models"
 	"repro/internal/pauli"
 )
 
@@ -254,6 +257,30 @@ func TestOrderTermsModes(t *testing.T) {
 	ts := OrderTerms(h, OrderGreedyOverlap)
 	if ts[0].S.Compact() != "Z1Z0" {
 		t.Errorf("greedy start = %s, want Z1Z0", ts[0].S.Compact())
+	}
+}
+
+// TestOrderLexicographicMatchesKeyComparator holds the decorated sort
+// to the comparator it replaced, which rebuilt both Key strings on every
+// comparison.
+func TestOrderLexicographicMatchesKeyComparator(t *testing.T) {
+	for _, spec := range []string{"molecule:14", "hubbard:3x3"} {
+		fh, err := models.Resolve(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := mapping.JordanWigner(fh.Modes).Apply(fh.Majorana(1e-12))
+		want := OrderTerms(h, OrderNatural)
+		sort.Slice(want, func(i, j int) bool { return want[i].S.Key() < want[j].S.Key() })
+		got := OrderTerms(h, OrderLexicographic)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d terms, want %d", spec, len(got), len(want))
+		}
+		for i := range want {
+			if !got[i].S.Equal(want[i].S) || got[i].Coeff != want[i].Coeff {
+				t.Fatalf("%s: term %d = %v, want %v", spec, i, got[i].S, want[i].S)
+			}
+		}
 	}
 }
 

@@ -33,7 +33,19 @@ func OrderTerms(h *pauli.Hamiltonian, ord TermOrder) []pauli.Term {
 	}
 	switch ord {
 	case OrderLexicographic:
-		sort.Slice(ts, func(i, j int) bool { return ts[i].S.Key() < ts[j].S.Key() })
+		// Build each key once rather than twice per comparison.
+		type keyedTerm struct {
+			key string
+			t   pauli.Term
+		}
+		dec := make([]keyedTerm, len(ts))
+		for i, t := range ts {
+			dec[i] = keyedTerm{t.S.Key(), t}
+		}
+		sort.Slice(dec, func(i, j int) bool { return dec[i].key < dec[j].key })
+		for i := range dec {
+			ts[i] = dec[i].t
+		}
 	case OrderGreedyOverlap:
 		ts = greedyChain(ts)
 	}
@@ -98,18 +110,14 @@ func AppendEvolution(c *Circuit, p pauli.String, theta float64) {
 		return // global phase only
 	}
 	target := sup[len(sup)-1]
-	var in, out []Gate
 	for _, q := range sup {
 		switch p.Letter(q) {
 		case pauli.X:
-			in = append(in, H(q))
-			out = append(out, H(q))
+			c.Append(H(q))
 		case pauli.Y:
-			in = append(in, RxPlus(q))
-			out = append(out, RxMinus(q))
+			c.Append(RxPlus(q))
 		}
 	}
-	c.Append(in...)
 	for i := 0; i+1 < len(sup); i++ {
 		c.Append(CNOT(sup[i], target))
 	}
@@ -117,7 +125,14 @@ func AppendEvolution(c *Circuit, p pauli.String, theta float64) {
 	for i := len(sup) - 2; i >= 0; i-- {
 		c.Append(CNOT(sup[i], target))
 	}
-	c.Append(out...)
+	for _, q := range sup {
+		switch p.Letter(q) {
+		case pauli.X:
+			c.Append(H(q))
+		case pauli.Y:
+			c.Append(RxMinus(q))
+		}
+	}
 }
 
 // SynthesizeTrotter compiles one or more first-order Trotter steps of
@@ -129,6 +144,13 @@ func SynthesizeTrotter(h *pauli.Hamiltonian, t float64, steps int, ord TermOrder
 	}
 	c := New(h.N())
 	ts := OrderTerms(h, ord)
+	// A weight-w term takes at most 2w basis changes, 2(w−1) CNOTs and
+	// one Rz.
+	size := 0
+	for _, term := range ts {
+		size += 4*term.S.Weight() - 1
+	}
+	c.Gates = make([]Gate, 0, steps*size)
 	for s := 0; s < steps; s++ {
 		for _, term := range ts {
 			theta := 2 * real(term.Coeff) * t / float64(steps)
@@ -147,11 +169,12 @@ func SynthesizeTrotter(h *pauli.Hamiltonian, t float64, steps int, ord TermOrder
 func Optimize(c *Circuit) *Circuit {
 	gates := make([]Gate, len(c.Gates))
 	copy(gates, c.Gates)
+	alive := make([]bool, len(gates))
 	// A handful of passes reaches the fixpoint on Trotter circuits; the cap
 	// bounds worst-case cost on very large inputs.
 	for pass := 0; pass < 6; pass++ {
-		next, changed := optimizePass(gates, c.N)
-		gates = next
+		var changed bool
+		gates, changed = optimizePass(gates, alive[:len(gates)])
 		if !changed {
 			break
 		}
@@ -165,14 +188,15 @@ func Optimize(c *Circuit) *Circuit {
 // pass near-linear on large circuits.
 const scanWindow = 128
 
-func optimizePass(gates []Gate, n int) ([]Gate, bool) {
-	alive := make([]bool, len(gates))
+// optimizePass runs one peephole pass over gates, using alive (same
+// length) as scratch, and compacts the surviving gates in place.
+func optimizePass(gates []Gate, alive []bool) ([]Gate, bool) {
 	for i := range alive {
 		alive[i] = true
 	}
 	changed := false
 	for i := range gates {
-		g := gates[i]
+		g := &gates[i]
 		if g.Kind == KindCNOT {
 			// Walk backwards past gates that commute with this CNOT; an
 			// identical CNOT encountered that way cancels with it.
@@ -182,7 +206,7 @@ func optimizePass(gates []Gate, n int) ([]Gate, bool) {
 					continue
 				}
 				steps++
-				pg := gates[j]
+				pg := &gates[j]
 				if pg.Kind == KindCNOT && pg.Q == g.Q && pg.Q2 == g.Q2 {
 					alive[i] = false
 					alive[j] = false
@@ -201,7 +225,7 @@ func optimizePass(gates []Gate, n int) ([]Gate, bool) {
 			if !alive[j] {
 				continue
 			}
-			pg := gates[j]
+			pg := &gates[j]
 			if pg.Q != g.Q && !(pg.Kind == KindCNOT && pg.Q2 == g.Q) {
 				continue // different qubits: keep scanning
 			}
@@ -222,20 +246,21 @@ func optimizePass(gates []Gate, n int) ([]Gate, bool) {
 	if !changed {
 		return gates, false
 	}
-	out := gates[:0:0]
-	for i, g := range gates {
+	n := 0
+	for i := range gates {
 		if alive[i] {
-			out = append(out, g)
+			gates[n] = gates[i]
+			n++
 		}
 	}
-	return out, true
+	return gates[:n], true
 }
 
 // commutesWithCNOT reports (conservatively) whether gate pg commutes with
 // the CNOT g: gates on disjoint qubits always do; CNOTs sharing only the
 // target, or only the control, commute; a diagonal single-qubit gate on the
 // control commutes; an X gate on the target commutes.
-func commutesWithCNOT(pg, g Gate) bool {
+func commutesWithCNOT(pg, g *Gate) bool {
 	if pg.Kind == KindCNOT {
 		if pg.Q == g.Q && pg.Q2 == g.Q2 {
 			return true // identical (handled by caller, but commutes anyway)

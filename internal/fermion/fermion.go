@@ -13,9 +13,11 @@
 package fermion
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/cmplx"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -133,18 +135,10 @@ type MajoranaHamiltonian struct {
 // NumMajoranas returns 2·Modes.
 func (m *MajoranaHamiltonian) NumMajoranas() int { return 2 * m.Modes }
 
-// monomial is a mutable Majorana monomial during expansion.
-type monomial struct {
-	coeff   complex128
-	indices []int // arbitrary order until normalized
-}
-
-// normalize sorts indices with anticommutation sign tracking and cancels
-// adjacent equal pairs (M² = 1). Returns the strictly-increasing index set
-// and the signed coefficient.
-func (m monomial) normalize() MajoranaTerm {
-	idx := make([]int, len(m.indices))
-	copy(idx, m.indices)
+// normalize sorts idx in place with anticommutation sign tracking, then
+// cancels adjacent equal pairs (M² = 1). It returns the strictly
+// increasing index set (a prefix of idx) and c with the sign applied.
+func normalize(c complex128, idx []int) (complex128, []int) {
 	sign := 1
 	// Insertion sort, counting inversions (each adjacent swap flips sign).
 	for i := 1; i < len(idx); i++ {
@@ -163,75 +157,79 @@ func (m monomial) normalize() MajoranaTerm {
 		out = append(out, idx[i])
 		i++
 	}
-	c := m.coeff
 	if sign < 0 {
 		c = -c
 	}
-	res := make([]int, len(out))
-	copy(res, out)
-	return MajoranaTerm{Coeff: c, Indices: res}
-}
-
-func indexKey(idx []int) string {
-	var b strings.Builder
-	for _, i := range idx {
-		fmt.Fprintf(&b, "%d,", i)
-	}
-	return b.String()
+	return c, out
 }
 
 // Majorana expands the Hamiltonian into normal-ordered Majorana monomials,
 // merging equal monomials and dropping those whose coefficients cancel
-// below eps. This is the "preprocess" step of Algorithm 1.
+// below eps. This is the "preprocess" step of Algorithm 1. Terms come out
+// sorted by their decimal index key ("i,j,…," compared as strings).
 func (h *Hamiltonian) Majorana(eps float64) *MajoranaHamiltonian {
-	acc := make(map[string]MajoranaTerm)
+	// Monomials accumulate under a compact uvarint key built in a reused
+	// buffer; acc[string(key)] does not allocate on lookup, so only the
+	// first occurrence of a monomial pays for its key and index slice.
+	acc := make(map[string]int)
+	var terms []MajoranaTerm
+	var idx []int
+	var key []byte
 	for _, t := range h.Terms {
 		// Expand each op into its two Majorana components:
 		// a†_j = (M_{2j} − i·M_{2j+1})/2 ; a_j = (M_{2j} + i·M_{2j+1})/2.
-		monos := []monomial{{coeff: t.Coeff}}
-		for _, o := range t.Ops {
-			next := make([]monomial, 0, 2*len(monos))
-			sgn := complex(0, 0.5) // +i/2 for a
-			if o.Dagger {
-				sgn = complex(0, -0.5) // −i/2 for a†
+		// Bit k−1−s of m picks op s's component, so monomials run in the
+		// order of op-by-op doubling, each coefficient multiplied op by op.
+		k := len(t.Ops)
+		for m := 0; m < 1<<k; m++ {
+			c := t.Coeff
+			idx = idx[:0]
+			for s, o := range t.Ops {
+				if m>>(k-1-s)&1 == 0 {
+					c *= 0.5
+					idx = append(idx, 2*o.Mode)
+					continue
+				}
+				if o.Dagger {
+					c *= complex(0, -0.5) // −i/2 for a†
+				} else {
+					c *= complex(0, 0.5) // +i/2 for a
+				}
+				idx = append(idx, 2*o.Mode+1)
 			}
-			for _, m := range monos {
-				m1 := monomial{coeff: m.coeff * 0.5, indices: appendCopy(m.indices, 2*o.Mode)}
-				m2 := monomial{coeff: m.coeff * sgn, indices: appendCopy(m.indices, 2*o.Mode+1)}
-				next = append(next, m1, m2)
+			c, norm := normalize(c, idx)
+			key = key[:0]
+			for _, i := range norm {
+				key = binary.AppendUvarint(key, uint64(i))
 			}
-			monos = next
-		}
-		for _, m := range monos {
-			nt := m.normalize()
-			k := indexKey(nt.Indices)
-			prev, ok := acc[k]
-			if ok {
-				nt.Coeff += prev.Coeff
+			if j, ok := acc[string(key)]; ok {
+				terms[j].Coeff += c
+				continue
 			}
-			acc[k] = nt
+			acc[string(key)] = len(terms)
+			terms = append(terms, MajoranaTerm{Coeff: c, Indices: append(make([]int, 0, len(norm)), norm...)})
 		}
 	}
+	dec := make([]string, len(terms))
+	order := make([]int, len(terms))
+	for i, t := range terms {
+		key = key[:0]
+		for _, x := range t.Indices {
+			key = strconv.AppendInt(key, int64(x), 10)
+			key = append(key, ',')
+		}
+		dec[i] = string(key)
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return dec[order[a]] < dec[order[b]] })
 	out := &MajoranaHamiltonian{Modes: h.Modes}
-	keys := make([]string, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		t := acc[k]
-		if cmplx.Abs(t.Coeff) <= eps {
+	for _, i := range order {
+		if cmplx.Abs(terms[i].Coeff) <= eps {
 			continue
 		}
-		out.Terms = append(out.Terms, t)
+		out.Terms = append(out.Terms, terms[i])
 	}
 	return out
-}
-
-func appendCopy(s []int, v int) []int {
-	r := make([]int, len(s), len(s)+1)
-	copy(r, s)
-	return append(r, v)
 }
 
 // IsHermitian reports whether the Majorana Hamiltonian is Hermitian within

@@ -3,14 +3,14 @@ package fermion
 import (
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func coeffOf(m *MajoranaHamiltonian, idx ...int) complex128 {
-	k := indexKey(idx)
 	for _, t := range m.Terms {
-		if indexKey(t.Indices) == k {
+		if slices.Equal(t.Indices, idx) {
 			return t.Coeff
 		}
 	}
@@ -61,10 +61,15 @@ func TestPaperEquation3(t *testing.T) {
 	}
 }
 
+// normalizeTerm runs normalize on a copy of idx.
+func normalizeTerm(c complex128, idx []int) MajoranaTerm {
+	c, out := normalize(c, append([]int(nil), idx...))
+	return MajoranaTerm{Coeff: c, Indices: out}
+}
+
 func TestNormalizeAnticommutation(t *testing.T) {
 	// M1·M0 = −M0·M1
-	m := monomial{coeff: 1, indices: []int{1, 0}}
-	nt := m.normalize()
+	nt := normalizeTerm(1, []int{1, 0})
 	if cmplx.Abs(nt.Coeff+1) > 1e-12 {
 		t.Errorf("coeff = %v, want -1", nt.Coeff)
 	}
@@ -75,11 +80,11 @@ func TestNormalizeAnticommutation(t *testing.T) {
 
 func TestNormalizeSquareCancels(t *testing.T) {
 	// M2·M2 = 1 and M3·M2·M2 = M3.
-	nt := monomial{coeff: 2, indices: []int{2, 2}}.normalize()
+	nt := normalizeTerm(2, []int{2, 2})
 	if len(nt.Indices) != 0 || cmplx.Abs(nt.Coeff-2) > 1e-12 {
 		t.Errorf("M2M2 = %v·%v", nt.Coeff, nt.Indices)
 	}
-	nt = monomial{coeff: 1, indices: []int{3, 2, 2}}.normalize()
+	nt = normalizeTerm(1, []int{3, 2, 2})
 	if len(nt.Indices) != 1 || nt.Indices[0] != 3 {
 		t.Errorf("M3M2M2 = %v·%v", nt.Coeff, nt.Indices)
 	}
@@ -87,7 +92,7 @@ func TestNormalizeSquareCancels(t *testing.T) {
 		t.Errorf("M3M2M2 coeff = %v, want 1", nt.Coeff)
 	}
 	// M2·M3·M2 = −M3·M2·M2 = −M3.
-	nt = monomial{coeff: 1, indices: []int{2, 3, 2}}.normalize()
+	nt = normalizeTerm(1, []int{2, 3, 2})
 	if len(nt.Indices) != 1 || nt.Indices[0] != 3 || cmplx.Abs(nt.Coeff+1) > 1e-12 {
 		t.Errorf("M2M3M2 = %v·%v, want -1·[3]", nt.Coeff, nt.Indices)
 	}
@@ -96,7 +101,7 @@ func TestNormalizeSquareCancels(t *testing.T) {
 func TestNormalizeQuadruple(t *testing.T) {
 	// M3M1M2M0 → sort to M0M1M2M3; permutation (3,1,2,0) has 5 inversions
 	// → sign −1.
-	nt := monomial{coeff: 1, indices: []int{3, 1, 2, 0}}.normalize()
+	nt := normalizeTerm(1, []int{3, 1, 2, 0})
 	if cmplx.Abs(nt.Coeff+1) > 1e-12 {
 		t.Errorf("coeff = %v, want -1", nt.Coeff)
 	}

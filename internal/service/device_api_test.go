@@ -79,6 +79,20 @@ func TestCompileWithCustomDeviceOverHTTP(t *testing.T) {
 	}
 }
 
+// TestCompileOnDisconnectedCustomDevice: a custom device whose coupling
+// graph cannot host the problem's qubits in one component is a
+// structured client error from placement, not the panic safety net's 500.
+func TestCompileOnDisconnectedCustomDevice(t *testing.T) {
+	srv, _, _ := testServer(t, "")
+	req := `{"model":"hubbard:2x2","method":"jw",
+	         "custom_device":{"name":"split","qubits":12,"edges":[[0,1],[0,2],[0,3],[4,5],[5,6],[6,7],[7,8],[8,9],[9,10],[10,11]]}}`
+	r, b := postJSON(t, srv.URL+"/v1/compile", req)
+	msg, _ := b["error"].(string)
+	if r.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "no free physical qubit") || strings.Contains(msg, "panic") {
+		t.Fatalf("compile on a split device: %d %q, want 400 with the placement error", r.StatusCode, msg)
+	}
+}
+
 func TestDeviceRequestValidation(t *testing.T) {
 	srv, _, _ := testServer(t, "")
 	cases := []struct {

@@ -86,6 +86,20 @@ func TestCompileWithDeviceSpec(t *testing.T) {
 	}
 }
 
+// TestPipelineDisconnectedDeviceErrors routes onto a custom device that
+// ParseDeviceJSON accepts but whose coupling graph is split: placement
+// fails with an error, never a panic.
+func TestPipelineDisconnectedDeviceErrors(t *testing.T) {
+	d, err := arch.ParseDeviceJSON([]byte(`{"name":"split","qubits":12,"edges":[[0,1],[0,2],[0,3],[4,5],[5,6],[6,7],[7,8],[8,9],[9,10],[10,11]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Pipeline{Model: "hubbard:2x2", Method: "jw", Options: []Option{WithDeviceSpec(d)}}.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "no free physical qubit") || strings.Contains(err.Error(), "panic") {
+		t.Fatalf("Pipeline.Run on a disconnected device: err = %v, want a placement error", err)
+	}
+}
+
 func TestDigestFoldsDevice(t *testing.T) {
 	plain := NewOptions()
 	routed := NewOptions(WithDevice("Montreal"))
