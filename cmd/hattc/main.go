@@ -62,7 +62,7 @@ func run() error {
 	showStrings := flag.Bool("strings", false, "print the Majorana Pauli strings")
 	compare := flag.Bool("compare", false, "compare all mappings on this model")
 	fhBudget := flag.Int64("fh-budget", 2_000_000, "exhaustive search visit budget for -mapping fh")
-	trotter := flag.Int("trotter", 1, "Trotter steps for the compiled circuit")
+	trotter := flag.Int("trotter", 1, fmt.Sprintf("Trotter steps for the compiled circuit (at most %d synthesized gates in total, counted as term weights × steps; more is an error)", compiler.MaxTrotterGates))
 	order := flag.String("order", "lex", "Trotter term order: natural | lex | greedy")
 	qasmOut := flag.String("qasm", "", "write the compiled circuit as OpenQASM 2.0 to this file ('-' for stdout); with a device set this is the routed circuit")
 	doTaper := flag.Bool("taper", false, "additionally report the Z2-tapered Hamiltonian (small systems only)")

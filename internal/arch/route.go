@@ -21,7 +21,8 @@ type RouteResult struct {
 // interacting pairs on high-degree physical qubits, then each CNOT between
 // non-adjacent qubits is routed by moving the control along a BFS shortest
 // path with SWAPs (3 CNOTs each). Single-qubit gates pass through. The
-// result is optimized with the peephole pass. A device whose coupling
+// routed circuit, which Route builds and owns, is optimized in place
+// with the peephole pass; c is never modified. A device whose coupling
 // graph leaves a logical qubit no reachable free physical qubit, or two
 // interacting qubits no path, is an error.
 func Route(c *circuit.Circuit, d *Device) (*RouteResult, error) {
@@ -44,7 +45,7 @@ func Route(c *circuit.Circuit, d *Device) (*RouteResult, error) {
 		return nil, err
 	}
 	return &RouteResult{
-		Circuit:     circuit.Optimize(out),
+		Circuit:     circuit.OptimizeInPlace(out),
 		SwapsAdded:  swaps,
 		FinalLayout: layout,
 	}, nil

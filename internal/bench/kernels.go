@@ -97,8 +97,9 @@ func randomKernelPauli(r *rand.Rand, n int) pauli.String {
 // repository's hot paths are built from — ApplyPauli, Hamiltonian
 // expectation, string product, Hamiltonian.Add — plus the BuildUnopt
 // construction on the largest bundled molecule, the hatt search on a
-// 72-mode lattice, the Majorana expansion of the largest molecule and
-// routing a molecule onto Montreal, each as a baseline-vs-fast pair.
+// 72-mode lattice, the Majorana expansion of the largest molecule,
+// routing a molecule onto Montreal and synthesizing the largest
+// molecule's Trotter circuit, each as a baseline-vs-fast pair.
 func KernelSuite() []KernelRecord {
 	var out []KernelRecord
 	r := rand.New(rand.NewSource(1))
@@ -225,6 +226,18 @@ func KernelSuite() []KernelRecord {
 				panic("bench: " + err.Error())
 			}
 		})
+
+	// Synthesizing and peephole-optimizing molecule:14's hatt Trotter
+	// circuit: the copying Optimize versus the pass run in place on the
+	// circuit synthesis just built (circuit.Compile).
+	res14, err := compiler.Compile(context.Background(), "hatt", mh)
+	if err != nil {
+		panic("bench: " + err.Error())
+	}
+	hq14 := res14.Mapping.Apply(mh)
+	out = kernelPair(out, "synth_molecule14", 5,
+		func() { circuit.Optimize(circuit.SynthesizeTrotter(hq14, 1, 1, circuit.OrderLexicographic)) },
+		func() { circuit.Compile(hq14, circuit.OrderLexicographic) })
 
 	return out
 }

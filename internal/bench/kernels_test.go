@@ -47,7 +47,11 @@ func allocGatedKernels(t *testing.T) []string {
 // exhaustive scan on the largest bundled molecule, the incremental
 // hatt search beats the uncached O(N⁴) build on hubbard:6x6, and the
 // compact-key Majorana expansion and table-driven router beat their
-// predecessors in both time and allocations.
+// predecessors in both time and allocations, and in-place synthesis
+// allocates fewer bytes than the copying Optimize chain. Its wall-time
+// gain (one gate-slice copy, ~10% of the op) is inside this host
+// class's window-to-window noise, so a single in-process measurement
+// does not gate it; benchdelta gates its best-of-3 ratio instead.
 func TestKernelSuiteBeforeAfter(t *testing.T) {
 	if annotations.RaceEnabled {
 		t.Skip("allocation counts and kernel timing ratios are unreliable under -race")
@@ -100,6 +104,11 @@ func TestKernelSuiteBeforeAfter(t *testing.T) {
 			t.Fatalf("%s: fast path is not a win (%.0f ns/op, %.0f allocs/op vs %.0f ns/op, %.0f allocs/op)",
 				name, pair["fast"].NsPerOp, pair["fast"].AllocsPerOp, pair["baseline"].NsPerOp, pair["baseline"].AllocsPerOp)
 		}
+	}
+	synth := byKernel["synth_molecule14"]
+	if synth["fast"].BytesPerOp >= synth["baseline"].BytesPerOp {
+		t.Fatalf("synth_molecule14: in-place synthesis allocates %.0f B/op vs baseline %.0f B/op",
+			synth["fast"].BytesPerOp, synth["baseline"].BytesPerOp)
 	}
 
 	var tab strings.Builder

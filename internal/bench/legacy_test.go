@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/fermion"
 	"repro/internal/mapping"
 	"repro/internal/models"
+	"repro/pkg/compiler"
 )
 
 // sameMajorana fails unless got and want hold the same terms in the same
@@ -154,5 +157,84 @@ func TestRouteMatchesLegacy(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameRoute(t, "molecule/"+spec, logical, d)
+	}
+}
+
+// sameCircuit fails unless got and want have the same width and the
+// same gates field for field, with bit-identical matrices.
+func sameCircuit(t *testing.T, label string, got, want *circuit.Circuit) {
+	t.Helper()
+	if got.N != want.N || len(got.Gates) != len(want.Gates) {
+		t.Fatalf("%s: %d qubits/%d gates, want %d/%d", label, got.N, len(got.Gates), want.N, len(want.Gates))
+	}
+	for i := range want.Gates {
+		g, w := &got.Gates[i], &want.Gates[i]
+		same := g.Kind == w.Kind && g.Q == w.Q && g.Q2 == w.Q2 && g.Label == w.Label
+		for r := 0; r < 2; r++ {
+			for c := 0; c < 2; c++ {
+				same = same && math.Float64bits(real(g.M[r][c])) == math.Float64bits(real(w.M[r][c])) &&
+					math.Float64bits(imag(g.M[r][c])) == math.Float64bits(imag(w.M[r][c]))
+			}
+		}
+		if !same {
+			t.Fatalf("%s: gate %d = %+v, want %+v", label, i, *g, *w)
+		}
+	}
+}
+
+// TestRoutedPipelineMatchesCopyingChain holds Pipeline.Run's in-place
+// synthesis and routing to the copying chain it replaced —
+// SynthesizeTrotter, the copying Optimize, then the legacy router whose
+// peephole also copies: bit-identical logical and routed circuits, the
+// same SWAP count, final layout and reported metrics, on seeded
+// molecules, h2, hubbard:3x3 and molecule:14 across three devices.
+func TestRoutedPipelineMatchesCopyingChain(t *testing.T) {
+	type job struct {
+		name  string
+		h     *fermion.Hamiltonian
+		steps int
+	}
+	var jobs []job
+	for seed := int64(1); seed <= 10; seed++ {
+		modes := 8 + 2*int(seed%4)
+		jobs = append(jobs, job{fmt.Sprintf("synthetic-%d", seed), models.SyntheticMolecule("diff", modes, seed, 0.4), 1 + int(seed%2)})
+	}
+	for _, spec := range []string{"h2", "hubbard:3x3", "molecule:14"} {
+		h, err := models.Resolve(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job{spec, h, 1})
+	}
+	ctx := context.Background()
+	for _, j := range jobs {
+		mh := j.h.Majorana(1e-12)
+		for _, spec := range []string{"montreal", "manhattan", "sycamore"} {
+			label := j.name + "/" + spec
+			opts := []compiler.Option{compiler.WithDevice(spec), compiler.WithTrotterSteps(j.steps)}
+			rep, err := compiler.Pipeline{Hamiltonian: j.h, Options: opts}.Run(ctx)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			o := compiler.NewOptions(opts...)
+			logical := circuit.Optimize(circuit.SynthesizeTrotter(rep.Result.Mapping.Apply(mh), o.TrotterTime, o.TrotterSteps, o.TermOrder))
+			sameCircuit(t, label+" logical", rep.Circuit, logical)
+			d, err := arch.Lookup(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := legacyRoute(logical, d)
+			if err != nil {
+				t.Fatalf("%s: legacy route: %v", label, err)
+			}
+			r := rep.Routed
+			sameCircuit(t, label+" routed", r.Circuit, want.Circuit)
+			if r.SwapsAdded != want.SwapsAdded || !reflect.DeepEqual(r.FinalLayout, want.FinalLayout) {
+				t.Fatalf("%s: swaps %d layout %v, want %d %v", label, r.SwapsAdded, r.FinalLayout, want.SwapsAdded, want.FinalLayout)
+			}
+			if r.CNOTs != want.Circuit.CNOTCount() || r.Singles != want.Circuit.SingleCount() || r.Depth != want.Circuit.Depth() {
+				t.Fatalf("%s: routed metrics %d/%d/%d disagree with the copying chain", label, r.CNOTs, r.Singles, r.Depth)
+			}
+		}
 	}
 }

@@ -25,12 +25,16 @@ type PerfRecord struct {
 	PauliWeight  int     `json:"pauli_weight"`
 	SequentialMS float64 `json:"sequential_ms"` // WithParallelism(1)
 	ParallelMS   float64 `json:"parallel_ms"`   // WithParallelism(workers)
-	Speedup      float64 `json:"speedup"`       // sequential / parallel
-	Identical    bool    `json:"identical"`     // mappings byte-identical across worker counts
+	// Speedup is sequential / parallel, or 0 (omitted) when GOMAXPROCS
+	// is below the worker count: the workers then share too few cores
+	// for the ratio to measure the engine.
+	Speedup   float64 `json:"speedup,omitempty"`
+	Identical bool    `json:"identical"` // mappings byte-identical across worker counts
 }
 
 // PerfReport is the full sequential-vs-parallel sweep plus the hot-path
 // kernel microbenchmarks and the host facts needed to interpret them.
+// Kernels merges kernelSweeps runs of the suite with MergeKernelRuns.
 type PerfReport struct {
 	NumCPU     int            `json:"nproc"`
 	GOMAXPROCS int            `json:"gomaxprocs"`
@@ -49,12 +53,30 @@ var perfModels = []string{"h2", "hubbard:2x2", "hubbard:2x3"}
 // columns time the same search.
 var perfSpecs = []string{"hatt", "beam:6", "anneal"}
 
-// PerfSuite measures every (method, model) cell at WithParallelism(1)
+// kernelSweeps is how many times PerfSuite runs the kernel suite.
+const kernelSweeps = 3
+
+// PerfSuite runs perfSweep and then the kernel suite kernelSweeps
+// times, keeping per kernel the run with the best fast/baseline ratio
+// (MergeKernelRuns). The committed BENCH_perf.json and the CI gate's
+// fresh side are both one PerfSuite report, so both carry the same
+// best-of-3 estimator.
+func PerfSuite(opt Options, workers int) PerfReport {
+	rep := perfSweep(opt, workers)
+	runs := make([][]KernelRecord, kernelSweeps)
+	for i := range runs {
+		runs[i] = KernelSuite()
+	}
+	rep.Kernels = MergeKernelRuns(runs...)
+	return rep
+}
+
+// perfSweep measures every (method, model) cell at WithParallelism(1)
 // and WithParallelism(workers) — workers < 1 means GOMAXPROCS — and
 // verifies the two runs produce byte-identical mappings (the engine's
 // reproducibility guarantee). The build memo is reset around every timed
 // run so each measurement is a full construction.
-func PerfSuite(opt Options, workers int) PerfReport {
+func perfSweep(opt Options, workers int) PerfReport {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -107,7 +129,7 @@ func PerfSuite(opt Options, workers int) PerfReport {
 			_ = seqRes.Mapping.WriteText(&a)
 			_ = parRes.Mapping.WriteText(&b)
 			speedup := 0.0
-			if parT > 0 {
+			if parT > 0 && rep.GOMAXPROCS >= workers {
 				speedup = float64(seqT) / float64(parT)
 			}
 			rep.Records = append(rep.Records, PerfRecord{
@@ -122,7 +144,6 @@ func PerfSuite(opt Options, workers int) PerfReport {
 			})
 		}
 	}
-	rep.Kernels = KernelSuite()
 	return rep
 }
 
@@ -140,11 +161,15 @@ func PrintPerf(w io.Writer, rep PerfReport) {
 	fmt.Fprintf(w, "%-14s %5s %-8s %8s %12s %12s %8s %10s\n",
 		"Model", "Modes", "Method", "Weight", "seq", "par", "speedup", "identical")
 	for _, r := range rep.Records {
-		fmt.Fprintf(w, "%-14s %5d %-8s %8d %12s %12s %7.2fx %10v\n",
+		speedup := "-" // fewer cores than workers: no speedup to report
+		if r.Speedup > 0 {
+			speedup = fmt.Sprintf("%.2fx", r.Speedup)
+		}
+		fmt.Fprintf(w, "%-14s %5d %-8s %8d %12s %12s %8s %10v\n",
 			r.Model, r.Modes, r.Method, r.PauliWeight,
 			time.Duration(r.SequentialMS*float64(time.Millisecond)).Round(time.Microsecond),
 			time.Duration(r.ParallelMS*float64(time.Millisecond)).Round(time.Microsecond),
-			r.Speedup, r.Identical)
+			speedup, r.Identical)
 	}
 	fmt.Fprintln(w)
 	PrintKernels(w, rep.Kernels)

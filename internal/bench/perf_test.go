@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -48,5 +49,40 @@ func TestPerfSuiteRecordsAndJSON(t *testing.T) {
 	PrintPerf(&tab, rep)
 	if !strings.Contains(tab.String(), "hatt") || !strings.Contains(tab.String(), "speedup") {
 		t.Fatal("PrintPerf output incomplete")
+	}
+}
+
+// TestPerfSweepSpeedupNeedsCores: with GOMAXPROCS below the worker
+// count the sweep reports no seq-vs-par speedup, in the records, the
+// JSON or the table; with enough cores it does.
+func TestPerfSweepSpeedupNeedsCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	opt := Options{MaxModes: 4} // h2 only
+	rep := perfSweep(opt, 2)
+	if rep.GOMAXPROCS != 1 || len(rep.Records) == 0 {
+		t.Fatalf("gomaxprocs %d, %d records", rep.GOMAXPROCS, len(rep.Records))
+	}
+	for _, r := range rep.Records {
+		if r.Speedup != 0 {
+			t.Errorf("%s/%s: speedup %.2f reported with 1 core for 2 workers", r.Model, r.Method, r.Speedup)
+		}
+	}
+	var buf bytes.Buffer
+	if err := WritePerfJSON(&buf, rep); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "speedup") {
+		t.Errorf("JSON carries a speedup:\n%s", buf.String())
+	}
+	var tab strings.Builder
+	PrintPerf(&tab, rep)
+	if strings.Contains(tab.String(), "x ") {
+		t.Errorf("table prints a speedup:\n%s", tab.String())
+	}
+
+	for _, r := range perfSweep(opt, 1).Records {
+		if r.Speedup <= 0 {
+			t.Errorf("%s/%s: no speedup with 1 core for 1 worker", r.Model, r.Method)
+		}
 	}
 }

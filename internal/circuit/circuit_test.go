@@ -184,6 +184,72 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 	}
 }
 
+// sameGates fails unless got and want hold the same gates field for
+// field, with bit-identical matrices.
+func sameGates(t *testing.T, label string, got, want []Gate) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d gates, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		same := g.Kind == w.Kind && g.Q == w.Q && g.Q2 == w.Q2 && g.Label == w.Label
+		for r := 0; r < 2; r++ {
+			for c := 0; c < 2; c++ {
+				same = same && math.Float64bits(real(g.M[r][c])) == math.Float64bits(real(w.M[r][c])) &&
+					math.Float64bits(imag(g.M[r][c])) == math.Float64bits(imag(w.M[r][c]))
+			}
+		}
+		if !same {
+			t.Fatalf("%s: gate %d = %+v, want %+v", label, i, g, w)
+		}
+	}
+}
+
+// TestOptimizeLeavesInputUntouched: Optimize runs the pass on a copy, so
+// the input's gates survive bit for bit, and OptimizeInPlace on the
+// caller's own circuit yields the same gates as Optimize's copy, as
+// does Compile against the copying chain.
+func TestOptimizeLeavesInputUntouched(t *testing.T) {
+	mol := models.SyntheticMolecule("opt", 8, 2, 0.4)
+	hq := mapping.JordanWigner(mol.Modes).Apply(mol.Majorana(1e-12))
+	raw := SynthesizeTrotter(hq, 0.7, 2, OrderLexicographic)
+	before := append([]Gate(nil), raw.Gates...)
+	opt := Optimize(raw)
+	sameGates(t, "Optimize input", raw.Gates, before)
+	if len(opt.Gates) >= len(raw.Gates) {
+		t.Fatalf("peephole removed nothing (%d gates)", len(raw.Gates))
+	}
+	inPlace := OptimizeInPlace(raw)
+	if inPlace != raw {
+		t.Fatal("OptimizeInPlace returned a different circuit")
+	}
+	sameGates(t, "OptimizeInPlace", inPlace.Gates, opt.Gates)
+	sameGates(t, "Compile", Compile(hq, OrderLexicographic).Gates, Optimize(SynthesizeTrotter(hq, 1, 1, OrderLexicographic)).Gates)
+}
+
+// TestTrotterGatesBoundsSynthesis: TrotterGates is the room
+// SynthesizeTrotter allocates, bounds what it emits, and saturates
+// instead of overflowing on step counts no circuit could hold.
+func TestTrotterGatesBoundsSynthesis(t *testing.T) {
+	h := pauli.NewHamiltonian(4)
+	h.Add(0.5, pauli.MustParse("XXII"))
+	h.Add(0.3, pauli.MustParse("IYZX"))
+	h.Add(0.2, pauli.MustParse("IIII")) // identity: no gates
+	if got := TrotterGates(h, 1); got != 7+11 {
+		t.Fatalf("TrotterGates(1) = %d, want 18", got)
+	}
+	for _, steps := range []int{-1, 0, 1, 3} {
+		c := SynthesizeTrotter(h, 1, steps, OrderNatural)
+		if n := TrotterGates(h, steps); cap(c.Gates) != n || len(c.Gates) > n {
+			t.Errorf("%d steps: %d gates in cap %d, TrotterGates %d", steps, len(c.Gates), cap(c.Gates), n)
+		}
+	}
+	if got := TrotterGates(h, math.MaxInt/10); got != math.MaxInt {
+		t.Errorf("TrotterGates(MaxInt/10) = %d, want saturation at MaxInt", got)
+	}
+}
+
 func TestOptimizeCancelsCNOTPairs(t *testing.T) {
 	c := New(2)
 	c.Append(CNOT(0, 1), CNOT(0, 1))

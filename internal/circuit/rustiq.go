@@ -21,7 +21,7 @@ func SynthesizeRustiq(h *pauli.Hamiltonian, t float64) *Circuit {
 		theta := 2 * real(term.Coeff) * t
 		appendEvolutionBalanced(c, term.S, theta)
 	}
-	return Optimize(c)
+	return OptimizeInPlace(c)
 }
 
 // appendEvolutionBalanced emits exp(−i·θ/2·P) using a balanced CNOT

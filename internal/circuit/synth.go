@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"math"
 	"math/cmplx"
 	"sort"
 
@@ -26,10 +27,9 @@ const (
 func OrderTerms(h *pauli.Hamiltonian, ord TermOrder) []pauli.Term {
 	var ts []pauli.Term
 	for _, t := range h.Terms() {
-		if t.S.IsIdentity() || cmplx.Abs(t.Coeff) < 1e-12 {
-			continue
+		if synthesized(t) {
+			ts = append(ts, t)
 		}
-		ts = append(ts, t)
 	}
 	switch ord {
 	case OrderLexicographic:
@@ -137,20 +137,15 @@ func AppendEvolution(c *Circuit, p pauli.String, theta float64) {
 
 // SynthesizeTrotter compiles one or more first-order Trotter steps of
 // exp(−i·H·t): each term c_j·S_j becomes exp(−i·c_j·t/steps·S_j) repeated
-// `steps` times. Coefficients must be real (Hermitian H).
+// `steps` times. Coefficients must be real (Hermitian H). It allocates
+// room for TrotterGates(h, steps) gates up front.
 func SynthesizeTrotter(h *pauli.Hamiltonian, t float64, steps int, ord TermOrder) *Circuit {
 	if steps < 1 {
 		steps = 1
 	}
 	c := New(h.N())
 	ts := OrderTerms(h, ord)
-	// A weight-w term takes at most 2w basis changes, 2(w−1) CNOTs and
-	// one Rz.
-	size := 0
-	for _, term := range ts {
-		size += 4*term.S.Weight() - 1
-	}
-	c.Gates = make([]Gate, 0, steps*size)
+	c.Gates = make([]Gate, 0, steps*stepGates(ts))
 	for s := 0; s < steps; s++ {
 		for _, term := range ts {
 			theta := 2 * real(term.Coeff) * t / float64(steps)
@@ -160,28 +155,67 @@ func SynthesizeTrotter(h *pauli.Hamiltonian, t float64, steps int, ord TermOrder
 	return c
 }
 
-// Optimize runs the peephole passes to a fixpoint: adjacent CNOT pairs with
-// identical control/target cancel, adjacent single-qubit gates on the same
-// qubit merge into one U3 (dropped if the product is the identity up to
-// global phase). Gates commute past gates on disjoint qubits, which the
-// scan handles by tracking the previous gate touching each qubit. Returns
-// a new circuit; the input is unchanged.
+// TrotterGates bounds the gates SynthesizeTrotter emits for h at the
+// given step count — the room it allocates — without building any:
+// 4w−1 per weight-w term per step. It saturates at math.MaxInt rather
+// than overflowing, so callers can hold any step count to a cap.
+func TrotterGates(h *pauli.Hamiltonian, steps int) int {
+	size := stepGates(h.Terms())
+	if steps > 1 && size > math.MaxInt/steps {
+		return math.MaxInt
+	}
+	return max(steps, 1) * size
+}
+
+// stepGates bounds one Trotter step over the synthesized terms of ts:
+// a weight-w term takes at most 2w basis changes, 2(w−1) CNOTs and one
+// Rz.
+func stepGates(ts []pauli.Term) int {
+	size := 0
+	for _, term := range ts {
+		if synthesized(term) {
+			size += 4*term.S.Weight() - 1
+		}
+	}
+	return size
+}
+
+// synthesized reports whether a term contributes gates: identity terms
+// and vanishing coefficients are skipped.
+func synthesized(t pauli.Term) bool {
+	return !t.S.IsIdentity() && cmplx.Abs(t.Coeff) >= 1e-12
+}
+
+// Optimize runs the peephole pass (see OptimizeInPlace) on a copy of c
+// and returns the copy; c is unchanged. Callers that own c and no
+// longer need its unoptimized gates use OptimizeInPlace instead.
 func Optimize(c *Circuit) *Circuit {
-	gates := make([]Gate, len(c.Gates))
-	copy(gates, c.Gates)
-	alive := make([]bool, len(gates))
+	out := New(c.N)
+	out.Gates = make([]Gate, len(c.Gates))
+	copy(out.Gates, c.Gates)
+	return OptimizeInPlace(out)
+}
+
+// OptimizeInPlace runs the peephole passes to a fixpoint: adjacent CNOT
+// pairs with identical control/target cancel, adjacent single-qubit
+// gates on the same qubit merge into one U3 (dropped if the product is
+// the identity up to global phase). Gates commute past gates on
+// disjoint qubits, which the scan handles by tracking the previous gate
+// touching each qubit. It rewrites and compacts c.Gates where they sit —
+// any other slice sharing their backing array sees the rewrite — and
+// returns c.
+func OptimizeInPlace(c *Circuit) *Circuit {
+	alive := make([]bool, len(c.Gates))
 	// A handful of passes reaches the fixpoint on Trotter circuits; the cap
 	// bounds worst-case cost on very large inputs.
 	for pass := 0; pass < 6; pass++ {
 		var changed bool
-		gates, changed = optimizePass(gates, alive[:len(gates)])
+		c.Gates, changed = optimizePass(c.Gates, alive[:len(c.Gates)])
 		if !changed {
 			break
 		}
 	}
-	out := New(c.N)
-	out.Gates = gates
-	return out
+	return c
 }
 
 // scanWindow bounds the backward commutation scan per gate, keeping the
@@ -300,7 +334,8 @@ func cmplxAbs(c complex128) float64 {
 }
 
 // Compile is the end-to-end pipeline the evaluation uses: order terms,
-// synthesize one Trotter step at t = 1, and optimize.
+// synthesize one Trotter step at t = 1, and optimize the fresh circuit
+// in place.
 func Compile(h *pauli.Hamiltonian, ord TermOrder) *Circuit {
-	return Optimize(SynthesizeTrotter(h, 1.0, 1, ord))
+	return OptimizeInPlace(SynthesizeTrotter(h, 1.0, 1, ord))
 }

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
@@ -10,9 +12,9 @@ import (
 )
 
 // TestCompileWithDeviceOverHTTP is the route-smoke path in miniature:
-// a device-targeted compile returns routed metrics whose QASM respects
-// the coupling graph, and a repeat is served cached with a
-// byte-identical routed circuit.
+// a device-targeted compile returns nonzero routed metrics (SWAPs,
+// CNOTs, depth) whose QASM respects the coupling graph, and a repeat is
+// served cached with a byte-identical routed block.
 func TestCompileWithDeviceOverHTTP(t *testing.T) {
 	srv, st, _ := testServer(t, "")
 	req := `{"model":"hubbard:2x2","method":"hatt","device":"montreal","include_strings":true}`
@@ -27,6 +29,11 @@ func TestCompileWithDeviceOverHTTP(t *testing.T) {
 	}
 	if routed["device"] != "Montreal" || routed["physical_qubits"] != float64(27) {
 		t.Errorf("routed = %v", routed)
+	}
+	for _, k := range []string{"swaps_added", "cnots", "depth"} {
+		if n, _ := routed[k].(float64); n <= 0 {
+			t.Errorf("routed %s = %v, want > 0", k, routed[k])
+		}
 	}
 	qasm, _ := routed["qasm"].(string)
 	if qasm == "" {
@@ -48,6 +55,11 @@ func TestCompileWithDeviceOverHTTP(t *testing.T) {
 	routed2 := b2["routed"].(map[string]any)
 	if routed2["qasm"] != qasm {
 		t.Error("cached routed circuit not byte-identical")
+	}
+	j1, _ := json.Marshal(routed)
+	j2, _ := json.Marshal(routed2)
+	if !bytes.Equal(j1, j2) {
+		t.Errorf("cached routed block differs:\n%s\nvs\n%s", j1, j2)
 	}
 	if got := st.Stats(); got.Hits != 1 || got.Misses != 1 {
 		t.Errorf("store stats = %+v", got)

@@ -96,8 +96,11 @@ func attachRouted(ctx context.Context, res *Result, mh *fermion.MajoranaHamilton
 	_, synthSpan := obs.StartSpan(ctx, "circuit.synthesis")
 	synthSpan.SetAttr("method", res.Method)
 	hq := res.Mapping.Apply(mh)
-	logical := circuit.Optimize(circuit.SynthesizeTrotter(hq, o.TrotterTime, o.TrotterSteps, o.TermOrder))
+	logical, err := synthesize(hq, o)
 	synthSpan.End()
+	if err != nil {
+		return err
+	}
 	_, routeSpan := obs.StartSpan(ctx, "circuit.route")
 	routeSpan.SetAttr("method", res.Method)
 	routeSpan.SetAttr("device", dev.Name)

@@ -19,6 +19,23 @@ import (
 // the dense eigensolver, which is only feasible on small systems.
 const MaxTaperQubits = 12
 
+// MaxTrotterGates caps the gates one synthesized Trotter circuit may
+// hold: term weights × Trotter steps, counted before anything is
+// allocated (circuit.TrotterGates). At 104 bytes a gate that is about
+// 436 MB, or some 58 steps of molecule:14 under hatt; a step count
+// beyond it is an error, not an allocation the host cannot serve.
+const MaxTrotterGates = 1 << 22
+
+// synthesize builds the peephole-optimized Trotter circuit of hq with
+// the options' synthesis knobs, refusing circuits above MaxTrotterGates.
+func synthesize(hq *pauli.Hamiltonian, o Options) (*circuit.Circuit, error) {
+	if n := circuit.TrotterGates(hq, o.TrotterSteps); n > MaxTrotterGates {
+		return nil, fmt.Errorf("compiler: %d Trotter steps synthesize up to %d gates, above the limit of %d (MaxTrotterGates)",
+			o.TrotterSteps, n, MaxTrotterGates)
+	}
+	return circuit.OptimizeInPlace(circuit.SynthesizeTrotter(hq, o.TrotterTime, o.TrotterSteps, o.TermOrder)), nil
+}
+
 // Pipeline runs the full compilation chain — model construction, Majorana
 // expansion, mapping, circuit synthesis, metrics, and optional Z₂
 // tapering — in one call:
@@ -118,8 +135,11 @@ func (p Pipeline) Run(ctx context.Context) (*Report, error) {
 		_, synthSpan := obs.StartSpan(ctx, "circuit.synthesis")
 		synthSpan.SetAttr("method", res.Method)
 		hq = res.Mapping.Apply(mh)
-		cc = circuit.Optimize(circuit.SynthesizeTrotter(hq, o.TrotterTime, o.TrotterSteps, o.TermOrder))
+		cc, err = synthesize(hq, o)
 		synthSpan.End()
+		if err != nil {
+			return nil, err
+		}
 	}
 	rep := &Report{
 		Model:           name,

@@ -99,3 +99,34 @@ func TestParseTermOrder(t *testing.T) {
 		t.Error("ParseTermOrder(zigzag): expected error")
 	}
 }
+
+// TestPipelineTrotterGateCap: a step count whose synthesized circuit
+// would exceed MaxTrotterGates is an error on the unrouted and the
+// routed path alike — counted before any gate is allocated, so even a
+// count whose allocation would overflow cannot panic.
+func TestPipelineTrotterGateCap(t *testing.T) {
+	ctx := context.Background()
+	// h2 takes at most 114 gates a step: the first count above the cap,
+	// and one whose gate slice would not fit any allocation.
+	for _, steps := range []int{MaxTrotterGates/114 + 1, 10_000_000_000_000} {
+		for _, opts := range [][]Option{nil, {WithDevice("montreal")}} {
+			p := Pipeline{Model: "h2", Method: "hatt", Options: append(opts, WithTrotterSteps(steps))}
+			_, err := p.Run(ctx)
+			if err == nil || !strings.Contains(err.Error(), "MaxTrotterGates") {
+				t.Errorf("%d steps, routed=%v: err = %v, want the gate-cap error", steps, opts != nil, err)
+			}
+		}
+	}
+	// A step count under the cap synthesizes every step.
+	one, err := Pipeline{Model: "h2", Method: "hatt", Options: []Option{WithDevice("montreal")}}.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	three, err := Pipeline{Model: "h2", Method: "hatt", Options: []Option{WithDevice("montreal"), WithTrotterSteps(3)}}.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if three.CNOTs <= one.CNOTs || three.Routed.CNOTs <= one.Routed.CNOTs {
+		t.Errorf("3 steps: %d logical / %d routed CNOTs, 1 step: %d / %d", three.CNOTs, three.Routed.CNOTs, one.CNOTs, one.Routed.CNOTs)
+	}
+}
