@@ -5,9 +5,9 @@
 // readable delta table either way.
 //
 // -fresh may be repeated: with several freshly measured files the gate
-// compares the best (lowest) ratio per kernel across them, so transient
-// runner noise — which can only inflate a ratio — needs to hit every
-// run to cause a false failure.
+// takes each implementation's lowest ns/op across them and compares the
+// ratio of those minima, so transient runner noise — which can only
+// inflate a time — needs to hit every run to cause a false failure.
 //
 //	go run ./internal/bench/benchdelta -baseline BENCH_perf.json \
 //	    -fresh /tmp/fresh1.json -fresh /tmp/fresh2.json -tol 0.20
@@ -31,7 +31,7 @@ func main() {
 func run() error {
 	baselinePath := flag.String("baseline", "BENCH_perf.json", "committed baseline BENCH_perf.json")
 	var freshPaths []string
-	flag.Func("fresh", "freshly generated BENCH_perf.json to gate (repeatable; best ratio per kernel wins)",
+	flag.Func("fresh", "freshly generated BENCH_perf.json to gate (repeatable; each implementation's fastest run wins)",
 		func(p string) error { freshPaths = append(freshPaths, p); return nil })
 	tol := flag.Float64("tol", 0.20, "fractional regression tolerance")
 	flag.Parse()

@@ -96,8 +96,8 @@ func randomKernelPauli(r *rand.Rand, n int) pauli.String {
 // KernelSuite measures the four algebra/simulation kernels this
 // repository's hot paths are built from — ApplyPauli, Hamiltonian
 // expectation, string product, Hamiltonian.Add — plus the BuildUnopt
-// construction on the largest bundled molecule, the hatt search on a
-// 72-mode lattice, the Majorana expansion of the largest molecule,
+// construction on the largest bundled molecule, the hatt search on 72-
+// and 128-mode lattices and on the largest molecule, the Majorana expansion of the largest molecule,
 // routing a molecule onto Montreal and synthesizing the largest
 // molecule's Trotter circuit, each as a baseline-vs-fast pair.
 func KernelSuite() []KernelRecord {
@@ -194,6 +194,24 @@ func KernelSuite() []KernelRecord {
 	out = kernelPair(out, "build_hatt_hubbard6x6", 10,
 		func() { core.BuildUncached(hmh) },
 		func() { core.BuildWithOptions(hmh, core.BuildOptions{NoMemo: true}) })
+
+	// The same pair on hubbard:8x8 (128 modes, lattice-search's largest
+	// size), where most O_Z candidates share no term with the pair and
+	// score from popcounts alone.
+	hub8, err := models.Resolve("hubbard:8x8")
+	if err != nil {
+		panic("bench: " + err.Error())
+	}
+	hmh8 := hub8.Majorana(1e-12)
+	out = kernelPair(out, "build_hatt_hubbard8x8", 2,
+		func() { core.BuildUncached(hmh8) },
+		func() { core.BuildWithOptions(hmh8, core.BuildOptions{NoMemo: true}) })
+
+	// And on molecule:14, whose leaves sit in hundreds of terms: every
+	// pair takes the dense (plain scan) branch.
+	out = kernelPair(out, "build_hatt_molecule14", 5,
+		func() { core.BuildUncached(mh) },
+		func() { core.BuildWithOptions(mh, core.BuildOptions{NoMemo: true}) })
 
 	// The Majorana expansion of the largest bundled molecule: fmt-built
 	// decimal keys on fresh slices versus compact keys in reused buffers.

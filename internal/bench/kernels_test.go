@@ -41,17 +41,19 @@ func allocGatedKernels(t *testing.T) []string {
 	return kernels
 }
 
-// TestKernelSuiteBeforeAfter pins the PR's acceptance bar: every kernel is
-// measured as a baseline/fast pair, the annotation-gated kernels drop to at
-// least 5× fewer allocations per op, the pruned BuildUnopt beats the
-// exhaustive scan on the largest bundled molecule, the incremental
-// hatt search beats the uncached O(N⁴) build on hubbard:6x6, and the
-// compact-key Majorana expansion and table-driven router beat their
+// TestKernelSuiteBeforeAfter pins the acceptance bar: every kernel is
+// measured as a baseline/fast pair, the annotation-gated kernels drop to
+// at least 5× fewer allocations per op, the pruned BuildUnopt beats the
+// exhaustive scan on the largest bundled molecule, the incremental hatt
+// search beats the uncached O(N⁴) build on hubbard:6x6 and hubbard:8x8,
+// the compact-key Majorana expansion and table-driven router beat their
 // predecessors in both time and allocations, and in-place synthesis
-// allocates fewer bytes than the copying Optimize chain. Its wall-time
-// gain (one gate-slice copy, ~10% of the op) is inside this host
-// class's window-to-window noise, so a single in-process measurement
-// does not gate it; benchdelta gates its best-of-3 ratio instead.
+// allocates fewer bytes than the copying Optimize chain. Two kernels are
+// left to benchdelta's min-of-3 ratio gate: synthesis's wall-time gain
+// (one gate-slice copy, ~10% of the op) and build_hatt_molecule14 (the
+// dense branch, a ratio near 1) sit inside this host class's
+// window-to-window noise, so a single in-process measurement does not
+// gate them.
 func TestKernelSuiteBeforeAfter(t *testing.T) {
 	if annotations.RaceEnabled {
 		t.Skip("allocation counts and kernel timing ratios are unreliable under -race")
@@ -92,10 +94,12 @@ func TestKernelSuiteBeforeAfter(t *testing.T) {
 		t.Fatalf("build_unopt: prune is not a wall-time win (%.0f ns/op vs %.0f ns/op)",
 			unopt["fast"].NsPerOp, unopt["baseline"].NsPerOp)
 	}
-	hatt := byKernel["build_hatt_hubbard6x6"]
-	if hatt["fast"].NsPerOp >= hatt["baseline"].NsPerOp {
-		t.Fatalf("build_hatt: incremental search is not a wall-time win (%.0f ns/op vs %.0f ns/op)",
-			hatt["fast"].NsPerOp, hatt["baseline"].NsPerOp)
+	for _, name := range []string{"build_hatt_hubbard6x6", "build_hatt_hubbard8x8"} {
+		hatt := byKernel[name]
+		if hatt["fast"].NsPerOp >= hatt["baseline"].NsPerOp {
+			t.Fatalf("%s: incremental search is not a wall-time win (%.0f ns/op vs %.0f ns/op)",
+				name, hatt["fast"].NsPerOp, hatt["baseline"].NsPerOp)
+		}
 	}
 
 	for _, name := range []string{"majorana_molecule14", "route_montreal_molecule12"} {

@@ -57,10 +57,9 @@ var perfSpecs = []string{"hatt", "beam:6", "anneal"}
 const kernelSweeps = 3
 
 // PerfSuite runs perfSweep and then the kernel suite kernelSweeps
-// times, keeping per kernel the run with the best fast/baseline ratio
-// (MergeKernelRuns). The committed BENCH_perf.json and the CI gate's
-// fresh side are both one PerfSuite report, so both carry the same
-// best-of-3 estimator.
+// times, keeping each implementation's fastest run (MergeKernelRuns).
+// The committed BENCH_perf.json and the CI gate's fresh side are both
+// one PerfSuite report, so both carry the same min-of-3 estimator.
 func PerfSuite(opt Options, workers int) PerfReport {
 	rep := perfSweep(opt, workers)
 	runs := make([][]KernelRecord, kernelSweeps)

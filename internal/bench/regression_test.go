@@ -86,21 +86,24 @@ func TestCompareKernelsToleratesNoise(t *testing.T) {
 	}
 }
 
-func TestMergeKernelRunsKeepsBestRatio(t *testing.T) {
-	run1 := append(kernelPairRecords("apply", 1000, 60, 0), kernelPairRecords("expect", 500, 40, 0)...)
-	run2 := append(kernelPairRecords("apply", 1000, 45, 0), kernelPairRecords("expect", 500, 55, 0)...)
+func TestMergeKernelRunsMinimumPerImpl(t *testing.T) {
+	// Each implementation keeps its own fastest sweep: apply's baseline
+	// from run1, its fast path from run2.
+	run1 := append(kernelPairRecords("apply", 900, 60, 0), kernelPairRecords("expect", 500, 40, 0)...)
+	run2 := append(kernelPairRecords("apply", 1000, 45, 0), kernelPairRecords("expect", 450, 55, 0)...)
 	merged := MergeKernelRuns(run1, run2)
 	if len(merged) != 4 {
 		t.Fatalf("merged %d records, want 4", len(merged))
 	}
 	got := map[string]float64{}
 	for _, r := range merged {
-		if r.Impl == "fast" {
-			got[r.Kernel] = r.NsPerOp
-		}
+		got[r.Kernel+"/"+r.Impl] = r.NsPerOp
 	}
-	if got["apply"] != 45 || got["expect"] != 40 {
-		t.Errorf("merged fast ns = %v, want apply:45 expect:40", got)
+	want := map[string]float64{"apply/baseline": 900, "apply/fast": 45, "expect/baseline": 450, "expect/fast": 40}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("merged %s ns = %v, want %v (all: %v)", k, got[k], v, got)
+		}
 	}
 	// A noisy run that would trip the gate alone passes once merged with
 	// a clean one.
@@ -108,9 +111,15 @@ func TestMergeKernelRunsKeepsBestRatio(t *testing.T) {
 	noisy := kernelPairRecords("apply", 1000, 55, 0) // +37% alone
 	clean := kernelPairRecords("apply", 1000, 42, 0) // +5% alone
 	if _, regressed := CompareKernels(base, MergeKernelRuns(noisy, clean), 0.20); regressed {
-		t.Error("best-of-N merge did not absorb one noisy run")
+		t.Error("per-implementation minimum did not absorb one noisy run")
 	}
-	// But a genuine regression present in every run still fails.
+	// A slowed baseline in one sweep cannot hide a slower fast path: the
+	// best-ratio merge would keep run (2000, 55) at ratio 0.0275.
+	slowBase := kernelPairRecords("apply", 2000, 55, 0)
+	if _, regressed := CompareKernels(base, MergeKernelRuns(noisy, slowBase), 0.20); !regressed {
+		t.Error("a baseline slowed by noise masked a fast-path regression")
+	}
+	// And a genuine regression present in every run still fails.
 	if _, regressed := CompareKernels(base, MergeKernelRuns(noisy, noisy), 0.20); !regressed {
 		t.Error("regression present in all runs slipped through")
 	}

@@ -194,9 +194,11 @@ func BuildUnoptReference(mh *fermion.MajoranaHamiltonian) *Result {
 // Each step merges the first minimal candidate in that enumeration order.
 // Build finds it with an incremental argmin instead of rescoring every
 // candidate (see hattScan): each O_X keeps its best O_Z across steps, and
-// after a merge only the pairs whose O_Y changed or whose cached O_Z was
-// merged away are rescanned; every other pair scores only the triple with
-// the new parent. The search runs on the calling goroutine.
+// after a merge only the pairs whose O_Y changed are rescanned, the pairs
+// whose cached O_Z was merged away resume past it, and every other pair
+// scores only the triple with the new parent. Candidates sharing no term
+// with the pair score from popcounts. The search runs on the calling
+// goroutine.
 //
 // Build memoizes completed constructions (see memo.go): repeated calls
 // on an identical Hamiltonian replay the cached merge schedule instead of

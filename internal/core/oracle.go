@@ -74,6 +74,7 @@ type problem struct {
 	n      int // modes
 	nTerms int
 	words  int
+	arity  int // the most Majorana indices in one term
 	// leafBits[id] for id in 0..2n (leaf 2n exists but never appears in a
 	// term: Majorana indices are 0..2n-1).
 	leafBits []termBits
@@ -94,6 +95,7 @@ func newProblem(mh *fermion.MajoranaHamiltonian) *problem {
 		p.leafBits[id] = newTermBits(p.words)
 	}
 	for t, idx := range sets {
+		p.arity = max(p.arity, len(idx))
 		for _, m := range idx {
 			p.leafBits[m].set(t)
 		}
